@@ -38,6 +38,7 @@ import (
 	"looppoint/internal/campaign"
 	"looppoint/internal/faults"
 	"looppoint/internal/serve"
+	"looppoint/internal/workloads"
 )
 
 func main() {
@@ -173,6 +174,14 @@ func buildSpec(path, apps, class, input string, threads int, policy, core string
 	}
 	if len(spec.Jobs) == 0 {
 		return spec, fmt.Errorf("empty campaign: pass -campaign or -apps")
+	}
+	for _, j := range spec.Jobs {
+		if j.Input == "" {
+			continue
+		}
+		if _, err := workloads.ParseInputClass(j.Input); err != nil {
+			return spec, fmt.Errorf("job %s: %w", j.App, err)
+		}
 	}
 	return spec, nil
 }

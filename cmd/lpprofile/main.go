@@ -6,8 +6,7 @@
 // the region structure of a workload.
 //
 // The clustering stage fans out over a worker pool (-j N; 0 = one worker
-// per CPU) and the selection is byte-identical at every width. -slowpath
-// forces the naive reference engines for cross-checking; -pprof-cpu /
+// per CPU) and the selection is byte-identical at every width. -pprof-cpu /
 // -pprof-heap write standard runtime/pprof profiles.
 package main
 
@@ -44,7 +43,6 @@ func main() {
 		verify     = flag.Bool("verify", false, "re-load every artifact written this run and check its integrity (checksums, version, structure)")
 		jobs       = flag.Int("j", 0, "worker count for the checkpoint-parallel analysis front-end (DCFG/BBV replay shards; 0 = serial) and the clustering stage (0 = one worker per CPU); profile and selection are byte-identical at every setting")
 		ckEvery    = flag.Uint64("checkpoint-every", 0, "shard width in schedule steps for the -j analysis sharding (0 = a deterministic default derived from the recording length)")
-		slowPath   = flag.Bool("slowpath", false, "force the naive reference paths (per-instruction engine, serial naive clustering) instead of the fast ones; identical output, slower")
 		pprofCPU   = flag.String("pprof-cpu", "", "write a CPU profile to this file")
 		pprofHeap  = flag.String("pprof-heap", "", "write a heap profile to this file at exit")
 	)
@@ -84,7 +82,6 @@ func main() {
 	cfg.ClusterWorkers = *jobs
 	cfg.AnalyzeWorkers = *jobs
 	cfg.CheckpointEvery = *ckEvery
-	cfg.SlowPath = *slowPath
 	cfg.Selector = *selector
 	cfg.SampleBudget = *budget
 	if *disasm {

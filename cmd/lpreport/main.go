@@ -43,7 +43,6 @@ func main() {
 		input     = flag.String("input", "", "override every experiment's input class (e.g. test) — smoke runs only")
 		slice     = flag.Uint64("slice", 0, "override the per-thread slice unit (0 = default)")
 		verbose   = flag.Bool("v", false, "log per-application progress")
-		slowPath  = flag.Bool("slowpath", false, "force the per-instruction reference engine instead of the block-batched fast path (identical reports, slower)")
 		resume    = flag.String("resume", "", "journal completed evaluations to this file and skip ones already journaled — a killed run restarts where it stopped")
 		degraded  = flag.Bool("degraded", false, "tolerate per-region simulation failures: drop the region, reweight the prediction, and mark the report degraded")
 		retries   = flag.Int("retries", 1, "attempts per region simulation (transient failures are retried with backoff)")
@@ -56,6 +55,12 @@ func main() {
 		pprofHeap = flag.String("pprof-heap", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
+	if *input != "" {
+		if _, err := workloads.ParseInputClass(*input); err != nil {
+			fmt.Fprintf(os.Stderr, "lpreport: -input: %v\n", err)
+			os.Exit(2)
+		}
+	}
 
 	// FAULTS_PLAN/FAULTS_SEED inject deterministic faults without
 	// recompiling (see internal/faults).
@@ -79,7 +84,6 @@ func main() {
 		Parallelism:   *jobs,
 		SliceUnit:     *slice,
 		InputOverride: workloads.InputClass(*input),
-		SlowPath:      *slowPath,
 		Resume:        *resume,
 		Degraded:      *degraded,
 		Retries:       *retries,

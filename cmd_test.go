@@ -57,6 +57,22 @@ func TestCmdLpprofile(t *testing.T) {
 	}
 }
 
+// TestCmdRejectsUnknownInputClass: a misspelled input class exits
+// nonzero instead of silently running at test scale.
+func TestCmdRejectsUnknownInputClass(t *testing.T) {
+	for _, args := range [][]string{
+		{"./cmd/lpprofile", "-p", "demo-matrix-1", "-n", "4", "-i", "trian"},
+		{"./cmd/lpreport", "-figures", "tables", "-input", "trian"},
+	} {
+		out, err := goRunEnv(nil, args...)
+		if err == nil {
+			t.Errorf("%v exited 0:\n%s", args, out)
+		} else if !strings.Contains(out, `unknown input class "trian"`) {
+			t.Errorf("%v: error does not name the bad class:\n%s", args, out)
+		}
+	}
+}
+
 func TestCmdLpsim(t *testing.T) {
 	out := goRun(t, "./cmd/lpsim", "-p", "demo-matrix-1", "-n", "4", "-i", "test")
 	for _, want := range []string{"instructions", "cycles", "IPC", "L2 MPKI"} {

@@ -24,112 +24,105 @@ import (
 	"looppoint/internal/timing"
 )
 
-// Config holds the methodology knobs.
+// Config holds the methodology knobs. Every field's identity tag names
+// the pipeline stage it can change (see identity.go), which decides the
+// fingerprints it enters.
 type Config struct {
 	// SliceUnit is the per-thread slice size in filtered instructions;
 	// the global slice target is N × SliceUnit for an N-threaded program
 	// (the paper uses 100 M; this repository's workloads are scaled down
 	// by workloads.Scale, so the default here is 100 K).
-	SliceUnit uint64
+	SliceUnit uint64 `identity:"analysis"`
 	// MaxK caps the number of clusters (paper: 50).
-	MaxK int
+	MaxK int `identity:"selection"`
 	// Dims is the projected BBV dimensionality (paper: 100).
-	Dims int
+	Dims int `identity:"selection"`
 	// Seed drives every random choice (projection, k-means, OS model).
-	Seed uint64
+	Seed uint64 `identity:"analysis"`
 	// FlowWindow is the flow-control window (in instructions) used while
 	// recording and profiling so all threads progress evenly.
-	FlowWindow uint64
+	FlowWindow uint64 `identity:"analysis"`
 	// MarkerEntryBudget bounds how many times a marker PC may fire per
 	// slice for it to count as a stable region boundary.
-	MarkerEntryBudget uint64
+	MarkerEntryBudget uint64 `identity:"analysis"`
 	// Warmup selects region-simulation warmup (perfect/functional by default).
-	Warmup timing.WarmupMode
+	Warmup timing.WarmupMode `identity:"simulation"`
 	// WarmupRegions is how many preceding regions a checkpoint-driven
 	// region simulation warms over (default 1; the paper assumes "a
 	// large enough warmup region added to the representative region").
-	WarmupRegions int
+	WarmupRegions int `identity:"simulation"`
 	// RegionSim selects how looppoints are simulated (checkpoint-driven
 	// by default).
-	RegionSim RegionSimMode
+	RegionSim RegionSimMode `identity:"simulation"`
 	// SumBBVs switches to naive summed (rather than concatenated)
 	// per-thread BBVs — the ablation of Section III-B's insight.
-	SumBBVs bool
+	SumBBVs bool `identity:"selection"`
 	// HostBias emulates an imbalanced host during recording (per-thread
 	// scheduling-quantum multipliers). The flow-control window is what
 	// keeps a biased host from skewing the profile; the flow-control
 	// ablation records with bias and toggles the window.
-	HostBias []int
+	HostBias []int `identity:"analysis"`
 	// NoSpinFilter disables synchronization-library filtering — the
 	// ablation corresponding to the naive SimPoint adaptation.
-	NoSpinFilter bool
+	NoSpinFilter bool `identity:"analysis"`
 	// VariableSlices enables phase-aligned variable-length slicing
 	// (Section III-B's alternative after Lau et al.): regions may close
 	// early at a worker-loop entry when the basic-block mix shifts.
-	VariableSlices bool
-	// SlowPath forces the per-instruction reference engine everywhere the
-	// pipeline would otherwise use the block-batched fast path — the BBV
-	// collector attaches to the per-instruction observer tier, region
-	// simulators fast-forward one instruction at a time — and forces the
-	// naive serial clustering reference path (ProjectRegionsSlow +
-	// KMeansSlow) instead of the sparse/Hamerly fast engine. Model-derived
-	// output is byte-identical either way (pinned by the determinism
-	// tests); the flag exists for cross-checking and debugging.
-	SlowPath bool
+	VariableSlices bool `identity:"analysis"`
 	// ClusterWorkers bounds the worker pool the clustering stage fans out
 	// on — the BBV projections and the k=1..MaxK BIC sweep (0 = one
 	// worker per CPU, 1 = serial). Selections are byte-identical at every
 	// width; only host time changes.
-	ClusterWorkers int
+	ClusterWorkers int `identity:"host"`
 	// AnalyzeWorkers enables the checkpoint-parallel analysis front-end:
 	// the DCFG and BBV replay passes are sharded at deterministic
 	// checkpoint boundaries and run on a pool of this width (<= 0 keeps
 	// the serial reference path). The profile is byte-identical at every
 	// width — pinned by the analyze identity suite — and any shard
 	// failure degrades to a serial re-replay of the same recording.
-	// SlowPath and VariableSlices force the serial path.
-	AnalyzeWorkers int
+	// VariableSlices forces the serial path.
+	AnalyzeWorkers int `identity:"host"`
 	// CheckpointEvery is the shard width in schedule steps for the
 	// parallel analysis (0 = a deterministic default derived from the
 	// recording length only, so results never depend on worker count).
-	CheckpointEvery uint64
+	CheckpointEvery uint64 `identity:"host"`
 	// ProgressDir enables durable mid-job progress (crash-only workers):
 	// the analysis replays in bounded epochs and persists a checksummed
 	// recovery point after each one, and region simulation journals every
 	// completed region, all under this directory. A killed job restarted
 	// with the same ProgressKey resumes from its last durable epoch
-	// instead of step 0, byte-identically. Empty disables; SlowPath and
-	// VariableSlices force the non-durable reference path.
-	ProgressDir string
+	// instead of step 0, byte-identically. Empty disables; VariableSlices
+	// forces the non-durable reference path.
+	ProgressDir string `identity:"host"`
 	// ProgressEvery is the durable-progress epoch width in schedule steps
 	// (0 = the parallel front-end's deterministic shard width).
-	ProgressEvery uint64
+	ProgressEvery uint64 `identity:"host"`
 	// ProgressKey names this job's progress files. Jobs sharing a key and
 	// an analysis-relevant configuration resume each other's work (the
 	// serving layer derives it from the job's content address). Empty
 	// derives a key from the program name.
-	ProgressKey string
+	ProgressKey string `identity:"host"`
 	// Progress, when set, receives durable-progress counters — epoch
 	// saves, recoveries, steps those recoveries skipped — shared across
 	// every job of a server and exposed via /v1/stats.
-	Progress *ProgressStats
+	Progress *ProgressStats `identity:"host"`
 	// Selector names the selection engine ("simpoint" by default; see
 	// simpoint.SelectorNames). "stratified" draws multiple seeded random
 	// representatives per cluster with two-phase budget allocation and
 	// makes per-metric confidence intervals estimable.
-	Selector string
+	Selector string `identity:"selection"`
 	// SampleBudget is the total region-draw budget for multi-draw
 	// engines (0 = engine default; the medoid engine ignores it).
-	SampleBudget int
+	SampleBudget int `identity:"selection"`
 	// PilotPerStratum is the stratified engine's phase-one pilot draw
 	// count per cluster (0 = simpoint.DefaultPilot).
-	PilotPerStratum int
+	PilotPerStratum int `identity:"selection"`
 	// Confidence is the level for extrapolated confidence intervals
 	// (0 = simpoint.DefaultConfidence, i.e. 95%).
-	Confidence float64
+	Confidence float64 `identity:"simulation"`
 	// ProportionalAlloc switches the stratified engine from Neyman to
 	// proportional phase-two allocation (calibration ablation).
-	ProportionalAlloc bool
+	ProportionalAlloc bool `identity:"selection"`
 }
 
 // DefaultConfig returns the paper's parameters at this repository's scale.
@@ -197,7 +190,7 @@ type Analysis struct {
 // to the serial reference path if any shard fails.
 func Analyze(prog *isa.Program, cfg Config) (*Analysis, error) {
 	cfg.fill()
-	if cfg.ProgressDir != "" && !cfg.SlowPath && !cfg.VariableSlices {
+	if cfg.ProgressDir != "" && !cfg.VariableSlices {
 		if a, err := analyzeDurable(prog, cfg); err == nil {
 			return a, nil
 		}
@@ -212,7 +205,7 @@ func Analyze(prog *isa.Program, cfg Config) (*Analysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: analyze %s: %w", prog.Name, err)
 	}
-	if cfg.AnalyzeWorkers > 0 && !cfg.SlowPath && !cfg.VariableSlices {
+	if cfg.AnalyzeWorkers > 0 && !cfg.VariableSlices {
 		if a, err := analyzeParallel(prog, cfg, pb); err == nil {
 			return a, nil
 		}
@@ -259,6 +252,21 @@ func markersAndModulus(prog *isa.Program, cfg *Config, pb *pinball.Pinball, g *d
 	return markers, modulus, nil
 }
 
+// newCollector builds the serial BBV collector for the chosen markers.
+// It implements exec.BlockObserver, so Replay routes it to the
+// block-batched tier.
+func newCollector(prog *isa.Program, cfg *Config, markers []uint64, modulus map[uint64]uint64) *bbv.Collector {
+	col := bbv.NewCollector(prog, markers, sliceTargetFor(prog, cfg))
+	col.SetMarkerModulus(modulus)
+	if cfg.NoSpinFilter {
+		col.DisableSyncFilter()
+	}
+	if cfg.VariableSlices {
+		col.SetVariableSlices(0.25, 0.5)
+	}
+	return col
+}
+
 // analyzeSerial is the reference analysis pipeline: two whole-run serial
 // replays of the recording (DCFG, then BBV). The parallel front-end is
 // pinned byte-identical to this path and degrades to it on any failure.
@@ -275,23 +283,8 @@ func analyzeSerial(prog *isa.Program, cfg Config, pb *pinball.Pinball) (*Analysi
 		return nil, err
 	}
 
-	col := bbv.NewCollector(prog, markers, sliceTargetFor(prog, &cfg))
-	col.SetMarkerModulus(modulus)
-	if cfg.NoSpinFilter {
-		col.DisableSyncFilter()
-	}
-	if cfg.VariableSlices {
-		col.SetVariableSlices(0.25, 0.5)
-	}
-	// The collector implements exec.BlockObserver, so Replay normally
-	// routes it to the block-batched tier. SlowPath hides that method by
-	// wrapping the per-instruction entry point, forcing the reference
-	// engine; the resulting profile is byte-identical.
-	var bbvObs exec.Observer = col
-	if cfg.SlowPath {
-		bbvObs = exec.ObserverFunc(col.OnInstr)
-	}
-	if _, err := pb.Replay(prog, bbvObs); err != nil {
+	col := newCollector(prog, &cfg, markers, modulus)
+	if _, err := pb.Replay(prog, col); err != nil {
 		return nil, fmt.Errorf("core: BBV replay of %s: %w", prog.Name, err)
 	}
 	prof := col.Finish()
@@ -356,25 +349,11 @@ func (s *Selection) Engine() string {
 func Select(a *Analysis) (*Selection, error) {
 	cfg := a.Config
 	regions := a.Profile.Regions
-	// The fast clustering engine (sparse projections, Hamerly-bounded
-	// k-means, parallel BIC sweep) and the naive -slowpath reference are
-	// byte-identical (pinned by TestFastSlowPathsByteIdentical and the
-	// simpoint identity suite), so selections, journals, and golden files
-	// never depend on which path produced them.
 	var vectors [][]float64
-	switch {
-	case cfg.SumBBVs && cfg.SlowPath:
-		vectors = simpoint.SumProjectRegionsSlow(regions, a.Profile.NumBlocks, cfg.Dims, cfg.Seed)
-	case cfg.SumBBVs:
+	if cfg.SumBBVs {
 		vectors = simpoint.SumProjectRegionsN(regions, a.Profile.NumBlocks, cfg.Dims, cfg.Seed, cfg.ClusterWorkers)
-	case cfg.SlowPath:
-		vectors = simpoint.ProjectRegionsSlow(regions, a.Profile.NumBlocks, cfg.Dims, cfg.Seed)
-	default:
+	} else {
 		vectors = simpoint.ProjectRegionsN(regions, a.Profile.NumBlocks, cfg.Dims, cfg.Seed, cfg.ClusterWorkers)
-	}
-	weights := make([]float64, len(regions))
-	for i, r := range regions {
-		weights[i] = float64(r.Filtered)
 	}
 	engine := cfg.Selector
 	if engine == "" {
@@ -384,9 +363,8 @@ func Select(a *Analysis) (*Selection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", a.Prog.Name, err)
 	}
-	sp, err := sl.Select(vectors, weights, simpoint.Options{
-		MaxK: cfg.MaxK, Seed: cfg.Seed,
-		Workers: cfg.ClusterWorkers, Slow: cfg.SlowPath,
+	sp, err := sl.Select(vectors, regionWeights(regions), simpoint.Options{
+		MaxK: cfg.MaxK, Seed: cfg.Seed, Workers: cfg.ClusterWorkers,
 	}, simpoint.SelectorOpts{
 		Budget: cfg.SampleBudget, Pilot: cfg.PilotPerStratum,
 		Proportional: cfg.ProportionalAlloc,
@@ -394,7 +372,23 @@ func Select(a *Analysis) (*Selection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: selecting %s: %w", a.Prog.Name, err)
 	}
+	return newSelection(a, vectors, sp), nil
+}
 
+// regionWeights returns each region's work (filtered instructions), the
+// weights every selection engine draws by.
+func regionWeights(regions []*bbv.Region) []float64 {
+	weights := make([]float64, len(regions))
+	for i, r := range regions {
+		weights[i] = float64(r.Filtered)
+	}
+	return weights
+}
+
+// newSelection turns an engine-level selection over the projected
+// vectors into looppoints with their multipliers and spreads.
+func newSelection(a *Analysis, vectors [][]float64, sp *simpoint.Selection) *Selection {
+	regions := a.Profile.Regions
 	sel := &Selection{Analysis: a, Result: sp.Result, Sample: sp}
 	// Exact per-stratum work totals (uint64 sums — no float rounding).
 	stratumFiltered := make([]uint64, len(sp.Strata))
@@ -433,7 +427,7 @@ func Select(a *Analysis) (*Selection, error) {
 	sort.Slice(sel.Points, func(i, k int) bool {
 		return sel.Points[i].Region.Index < sel.Points[k].Region.Index
 	})
-	return sel, nil
+	return sel
 }
 
 // RegionSimMode selects how looppoints are simulated.

@@ -165,7 +165,6 @@ func simulateOneRegion(ctx context.Context, sel *Selection, arena *simulatorAren
 	}
 	defer arena.put(sim)
 	sim.Seed = a.Config.Seed
-	sim.SlowPath = a.Config.SlowPath
 	var st *timing.Stats
 	if checkpoints != nil {
 		st, err = sim.SimulateCheckpoint(checkpoints[i])

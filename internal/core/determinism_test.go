@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"looppoint/internal/isa"
 	"looppoint/internal/omp"
 	"looppoint/internal/testprog"
 	"looppoint/internal/timing"
+	"looppoint/internal/workloads"
 )
 
 // TestSimulateRegionsWidthInvariant requires identical per-region
@@ -100,54 +103,81 @@ func TestSelectClusterWorkersInvariant(t *testing.T) {
 
 // TestFastSlowPathsByteIdentical runs the entire methodology — analysis,
 // clustering, checkpoint extraction, region simulation, extrapolation —
-// once on the block-batched fast path and once on the per-instruction
-// reference engine, and requires every model-derived artifact to be
+// once on the production fast paths and once on the reference pipeline
+// (reference_test.go), and requires every model-derived artifact to be
 // byte-identical: BBV profiles, marker sets, looppoint selections,
 // per-region statistics, and the final prediction. Host time is the only
-// thing the fast path is allowed to change.
+// thing the fast paths are allowed to change. Besides the synthetic
+// phased program, the table covers the quick SPEC suite under both wait
+// policies at test scale — the programs behind the evaluation's accuracy
+// and speedup figures.
 func TestFastSlowPathsByteIdentical(t *testing.T) {
-	p := testprog.Phased(4, 10, 150, omp.Passive)
+	type program struct {
+		name string
+		prog *isa.Program
+		cfg  Config
+	}
+	programs := []program{{"phased", testprog.Phased(4, 10, 150, omp.Passive), testConfig()}}
+	for _, app := range []string{"603.bwaves_s.1", "638.imagick_s.1", "644.nab_s.1", "657.xz_s.2"} {
+		for _, policy := range []omp.WaitPolicy{omp.Active, omp.Passive} {
+			spec, ok := workloads.Lookup(app)
+			if !ok {
+				t.Fatalf("unknown workload %s", app)
+			}
+			built, err := spec.Build(workloads.BuildParams{Threads: 8, Input: workloads.InputTest, Policy: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			cfg.SliceUnit = 2000
+			programs = append(programs, program{fmt.Sprintf("%s-%v", app, policy), built.Prog, cfg})
+		}
+	}
 
-	run := func(slow bool) (*Analysis, *Selection, []RegionResult, Prediction) {
-		cfg := testConfig()
-		cfg.SlowPath = slow
-		a, err := Analyze(p, cfg)
-		if err != nil {
-			t.Fatalf("Analyze(slow=%v): %v", slow, err)
-		}
-		sel, err := Select(a)
-		if err != nil {
-			t.Fatalf("Select(slow=%v): %v", slow, err)
-		}
-		res, err := SimulateRegionsN(sel, timing.Gainestown(4), 4)
-		if err != nil {
-			t.Fatalf("SimulateRegionsN(slow=%v): %v", slow, err)
-		}
-		return a, sel, res, Extrapolate(res, timing.Gainestown(1).FreqGHz)
-	}
+	for _, p := range programs {
+		t.Run(p.name, func(t *testing.T) {
+			simCfg := timing.Gainestown(p.prog.NumThreads())
+			freq := simCfg.FreqGHz
+			fa, err := Analyze(p.prog, p.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fsel, err := Select(fa)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fres, err := SimulateRegionsN(fsel, simCfg, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fpred := Extrapolate(fres, freq)
 
-	fa, fsel, fres, fpred := run(false)
-	sa, ssel, sres, spred := run(true)
+			sa := analyzeReference(t, p.prog, p.cfg)
+			ssel := selectReference(t, sa)
+			sres := simulateReference(t, ssel, simCfg)
+			spred := Extrapolate(sres, freq)
 
-	if !reflect.DeepEqual(fa.Markers, sa.Markers) {
-		t.Errorf("marker sets differ:\nfast: %#x\nslow: %#x", fa.Markers, sa.Markers)
-	}
-	if !reflect.DeepEqual(fa.Profile, sa.Profile) {
-		t.Error("BBV profiles differ between fast and slow paths")
-	}
-	if !reflect.DeepEqual(fsel.Points, ssel.Points) {
-		t.Error("looppoint selections differ between fast and slow paths")
-	}
-	if len(fres) != len(sres) {
-		t.Fatalf("result counts differ: %d vs %d", len(fres), len(sres))
-	}
-	for i := range fres {
-		if !reflect.DeepEqual(fres[i].Stats, sres[i].Stats) {
-			t.Errorf("region %d stats differ:\nfast: %+v\nslow: %+v",
-				fres[i].Point.Region.Index, fres[i].Stats, sres[i].Stats)
-		}
-	}
-	if fpred != spred {
-		t.Errorf("predictions differ:\nfast: %+v\nslow: %+v", fpred, spred)
+			if !reflect.DeepEqual(fa.Markers, sa.Markers) {
+				t.Errorf("marker sets differ:\nfast: %#x\nslow: %#x", fa.Markers, sa.Markers)
+			}
+			if !reflect.DeepEqual(fa.Profile, sa.Profile) {
+				t.Error("BBV profiles differ between fast and slow paths")
+			}
+			if !reflect.DeepEqual(fsel.Points, ssel.Points) {
+				t.Error("looppoint selections differ between fast and slow paths")
+			}
+			if len(fres) != len(sres) {
+				t.Fatalf("result counts differ: %d vs %d", len(fres), len(sres))
+			}
+			for i := range fres {
+				if !reflect.DeepEqual(fres[i].Stats, sres[i].Stats) {
+					t.Errorf("region %d stats differ:\nfast: %+v\nslow: %+v",
+						fres[i].Point.Region.Index, fres[i].Stats, sres[i].Stats)
+				}
+			}
+			if fpred != spred {
+				t.Errorf("predictions differ:\nfast: %+v\nslow: %+v", fpred, spred)
+			}
+		})
 	}
 }

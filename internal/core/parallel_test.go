@@ -178,8 +178,7 @@ func TestAnalyzeShardFaultDegradesToSerial(t *testing.T) {
 }
 
 // TestAnalyzePublicParallelMatchesSerial pins the public entry point:
-// Analyze with AnalyzeWorkers set equals Analyze without, and SlowPath
-// or VariableSlices force the serial path even when workers are set.
+// Analyze with AnalyzeWorkers set equals Analyze without.
 func TestAnalyzePublicParallelMatchesSerial(t *testing.T) {
 	p := testprog.Phased(4, 10, 150, omp.Passive)
 	serialCfg := testConfig()
@@ -194,13 +193,4 @@ func TestAnalyzePublicParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	analysisEquals(t, "public-parallel", got, want)
-
-	slowCfg := testConfig()
-	slowCfg.AnalyzeWorkers = 4
-	slowCfg.SlowPath = true
-	slow, err := Analyze(p, slowCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	analysisEquals(t, "slowpath-forced-serial", slow, want)
 }

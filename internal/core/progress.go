@@ -43,8 +43,9 @@ import (
 // progress, never correctness. If the durable path itself errors,
 // Analyze falls back to the stateless pipeline on a fresh recording.
 
-// progressVersion is the progress-file format version.
-const progressVersion = 1
+// progressVersion is the progress-file format version. v2: fingerprints
+// come from the classified job identity (identity.go).
+const progressVersion = 2
 
 // progMagic brands durable progress files.
 const progMagic = "LOOPPROG"
@@ -134,14 +135,12 @@ func unmarshalProgressState(data []byte) (*progressState, error) {
 	return st, nil
 }
 
-// progressFingerprint hashes the configuration that determines the
-// recording and the profile: two jobs with the same key and fingerprint
-// may resume each other's progress; anything else falls the ladder.
+// progressFingerprint hashes what determines the recording and the
+// profile: the program and the configuration through the analysis stage.
+// Two jobs with the same key and fingerprint may resume each other's
+// progress; anything else falls the ladder.
 func progressFingerprint(prog *isa.Program, cfg *Config) string {
-	sig := fmt.Sprintf("v%d|prog=%s|threads=%d|slice=%d|seed=%d|flow=%d|budget=%d|bias=%v|nospin=%v",
-		progressVersion, prog.Name, prog.NumThreads(), cfg.SliceUnit, cfg.Seed,
-		cfg.FlowWindow, cfg.MarkerEntryBudget, cfg.HostBias, cfg.NoSpinFilter)
-	return fmt.Sprintf("%016x", artifact.Checksum([]byte(sig)))
+	return Fingerprint(StageAnalysis, progressVersion, prog.Name, prog.NumThreads(), *cfg)
 }
 
 // progressBase returns the per-job file-name stem inside the progress

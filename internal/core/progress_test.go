@@ -159,6 +159,43 @@ func TestAnalyzeDurableResumeAfterKill(t *testing.T) {
 	}
 }
 
+// TestAnalyzeDurableResumesAcrossHostSettings: worker, shard, and epoch
+// widths are host-only, so a job killed under one set resumes under
+// another — the progress fingerprint and file stem must not change.
+func TestAnalyzeDurableResumesAcrossHostSettings(t *testing.T) {
+	p := testprog.Phased(4, 10, 150, omp.Passive)
+	cfg := testConfig()
+	cfg.fill()
+	want, err := analyzeSerial(p, cfg, recordFor(t, p, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	killed := durableConfig(dir)
+	killed.AnalyzeWorkers, killed.CheckpointEvery, killed.ClusterWorkers = 4, 4096, 4
+	killed.fill()
+	if !crashAnalyze(t, p, killed, 3) {
+		t.Fatal("kill never fired")
+	}
+
+	restart := durableConfig(dir)
+	restart.AnalyzeWorkers, restart.CheckpointEvery, restart.ClusterWorkers = 1, 0, 1
+	restart.ProgressEvery = 1024
+	restart.fill()
+	if progressFingerprint(p, &restart) != progressFingerprint(p, &killed) {
+		t.Fatal("host-only settings changed the progress fingerprint")
+	}
+	got, err := Analyze(p, restart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analysisEquals(t, "resumed-across-host-settings", got, want)
+	if _, _, recoveries, stepsSaved, _ := restart.Progress.Snapshot(); recoveries != 1 || stepsSaved == 0 {
+		t.Fatalf("recoveries=%d steps_saved=%d, want a resume from the killed run's epochs", recoveries, stepsSaved)
+	}
+}
+
 // TestAnalyzeDurableCorruptLadderFalls: with the newest epoch file
 // bit-flipped and a stray temp file in the directory, the restart falls
 // one rung down the ladder, resumes from the older epoch, and still

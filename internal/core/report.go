@@ -95,31 +95,32 @@ type Report struct {
 	Speedups Speedups
 }
 
-// RunOpts controls an end-to-end run.
+// RunOpts controls an end-to-end run. Its fields are classified for the
+// job identity like Config's (see identity.go).
 type RunOpts struct {
 	// SimulateFull runs the whole-application detailed simulation to
 	// compute prediction errors (skipped for ref-scale inputs, where the
 	// paper also only reports speedups).
-	SimulateFull bool
+	SimulateFull bool `identity:"simulation"`
 	// Parallel simulates looppoints concurrently (one pool worker per
 	// CPU when Width is zero).
-	Parallel bool
+	Parallel bool `identity:"host"`
 	// Width bounds the number of concurrently simulated looppoints.
 	// Zero falls back to one worker per CPU when Parallel is set and to
 	// serial simulation otherwise. The prediction is identical at every
 	// width; only host time changes.
-	Width int
+	Width int `identity:"host"`
 	// Degraded tolerates per-region simulation failures: failed regions
 	// are dropped, recorded in Report.Degradation, and the prediction is
 	// reweighted by the residual coverage.
-	Degraded bool
+	Degraded bool `identity:"simulation"`
 	// Retries is the per-region attempt budget (<= 1: single attempt).
-	Retries int
+	Retries int `identity:"simulation"`
 	// RegionTimeout bounds each region-simulation attempt (0: none).
-	RegionTimeout time.Duration
+	RegionTimeout time.Duration `identity:"simulation"`
 	// MinCoverage is the degraded-mode residual-coverage floor
 	// (0: DefaultMinCoverage; negative: no floor).
-	MinCoverage float64
+	MinCoverage float64 `identity:"simulation"`
 }
 
 // width resolves the effective pool width.
@@ -186,7 +187,6 @@ func RunCtx(ctx context.Context, prog *isa.Program, cfg Config, simCfg timing.Co
 			return nil, err
 		}
 		sim.Seed = cfg.Seed
-		sim.SlowPath = cfg.SlowPath // no-op today: full runs are entirely detailed
 		full, err := sim.SimulateFull()
 		if err != nil {
 			return nil, fmt.Errorf("core: full simulation of %s: %w", prog.Name, err)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"sync"
 	"time"
@@ -40,20 +39,17 @@ type simRecord struct {
 }
 
 // simFingerprint pins everything that determines a region's simulated
-// statistics: the analysis fingerprint, the simulator configuration, the
-// warmup/region-sim knobs, and the exact region boundaries of every
-// selected looppoint.
+// statistics: the program, the configuration through the simulation
+// stage, the simulator configuration, and the exact region boundaries of
+// every selected looppoint.
 func simFingerprint(sel *Selection, simCfg timing.Config) string {
 	a := sel.Analysis
-	cfg := a.Config
-	var bounds []byte
-	for _, lp := range sel.Points {
-		bounds = fmt.Appendf(bounds, "|%d:%d:%d", lp.Region.Index, lp.Region.StartICount, lp.Region.EndICount)
+	bounds := make([][3]uint64, len(sel.Points))
+	for i, lp := range sel.Points {
+		bounds[i] = [3]uint64{uint64(lp.Region.Index), lp.Region.StartICount, lp.Region.EndICount}
 	}
-	sig := fmt.Sprintf("v%d|%s|sim=%+v|warmup=%d|wregions=%d|mode=%d|seed=%d|slow=%v|points=%s",
-		progressVersion, progressFingerprint(a.Prog, &cfg), simCfg,
-		cfg.Warmup, cfg.WarmupRegions, cfg.RegionSim, cfg.Seed, cfg.SlowPath, bounds)
-	return fmt.Sprintf("%016x", artifact.Checksum([]byte(sig)))
+	return Fingerprint(StageSimulation, progressVersion, a.Prog.Name, a.Prog.NumThreads(),
+		a.Config, simCfg, bounds)
 }
 
 // simProgress is the open journal for one sweep. All methods are safe
@@ -75,7 +71,7 @@ type simProgress struct {
 func openSimProgress(sel *Selection, simCfg timing.Config) *simProgress {
 	a := sel.Analysis
 	cfg := a.Config
-	if cfg.ProgressDir == "" || a.Prog == nil || cfg.SlowPath {
+	if cfg.ProgressDir == "" || a.Prog == nil {
 		return nil
 	}
 	if err := os.MkdirAll(cfg.ProgressDir, 0o755); err != nil {

@@ -55,17 +55,12 @@ type Options struct {
 	// (train, ref, C, D) with the given one — smoke-testing only; the
 	// figures are defined on their paper inputs.
 	InputOverride workloads.InputClass
-	// SlowPath forces every evaluation onto the per-instruction reference
-	// engine instead of the block-batched fast path (the -slowpath flag).
-	// Reports are byte-identical either way; the flag exists for
-	// cross-checking the two engines.
-	SlowPath bool
 	// Resume names a journal file (JSONL) of completed evaluations. When
 	// set, reports already journaled are rehydrated instead of re-run,
 	// and every new evaluation is appended — a killed campaign restarts
 	// where it stopped. Corrupt journal lines are dropped, and records
 	// journaled under a different evaluator configuration (slice, seed,
-	// slowpath, degraded/retry knobs) are skipped with a warning rather
+	// selection engine, degraded/retry knobs) are skipped with a warning rather
 	// than served as this run's numbers; a journal that cannot be opened
 	// is logged and ignored (the run proceeds fresh).
 	Resume string
@@ -153,7 +148,6 @@ func (o Options) config() core.Config {
 	if o.SliceUnit != 0 {
 		cfg.SliceUnit = o.SliceUnit
 	}
-	cfg.SlowPath = o.SlowPath
 	// The clustering stage (projection + BIC sweep) shares the -j width;
 	// selections are byte-identical at every setting.
 	cfg.ClusterWorkers = o.Parallelism
@@ -164,6 +158,15 @@ func (o Options) config() core.Config {
 	cfg.ProgressEvery = o.ProgressEvery
 	cfg.Progress = o.Progress
 	return cfg
+}
+
+// runOpts returns the end-to-end run options of one evaluation.
+func (o Options) runOpts(full bool) core.RunOpts {
+	return core.RunOpts{
+		SimulateFull: full, Width: o.Parallelism,
+		Degraded: o.Degraded, Retries: o.Retries,
+		RegionTimeout: o.RegionTimeout, MinCoverage: o.MinCoverage,
+	}
 }
 
 // progressKey derives the durable-progress job key for one analysis:
@@ -248,7 +251,7 @@ func NewEvaluator(opts Options) *Evaluator {
 				e.logf("resume: dropped %d corrupt journal line(s) from %s", dropped, opts.Resume)
 			}
 			if mismatched > 0 {
-				e.logf("resume: skipped %d journal record(s) in %s computed under a different configuration (slice/seed/slowpath/degraded/retry flags); they will be re-evaluated", mismatched, opts.Resume)
+				e.logf("resume: skipped %d journal record(s) in %s computed under a different configuration (slice/seed/selector/degraded/retry flags); they will be re-evaluated", mismatched, opts.Resume)
 			}
 			if len(restored) > 0 {
 				e.logf("resume: restored %d completed evaluation(s) from %s", len(restored), opts.Resume)
@@ -405,11 +408,7 @@ func (e *Evaluator) ReportCtx(ctx context.Context, k ReportKey) (*core.Report, e
 			cfg.Selector = k.Selector
 		}
 		cfg.ProgressKey = progressKey(k.App, k.Policy, k.Input, k.Threads, cfg.Selector)
-		rep, err = core.RunCtx(ctx, app.Prog, cfg, simCfg, core.RunOpts{
-			SimulateFull: k.Full, Width: e.Opts.Parallelism,
-			Degraded: e.Opts.Degraded, Retries: e.Opts.Retries,
-			RegionTimeout: e.Opts.RegionTimeout, MinCoverage: e.Opts.MinCoverage,
-		})
+		rep, err = core.RunCtx(ctx, app.Prog, cfg, simCfg, e.Opts.runOpts(k.Full))
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", k.App, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"sync"
 	"time"
@@ -27,35 +26,28 @@ import (
 // a torn final line from a killed run must not poison the restart.
 //
 // ReportKey alone does not pin down a report's numbers — -slice, -seed,
-// -slowpath, and the degraded/retry knobs all change what an evaluation
-// produces without appearing in the key. Each record therefore also
-// carries a fingerprint of the evaluator configuration it was computed
-// under, and resume skips (with a warning) records whose fingerprint
-// does not match the current run instead of silently serving numbers
-// from a different configuration.
+// the selection engine, and the degraded/retry knobs all change what an
+// evaluation produces without appearing in the key. Each record therefore
+// also carries a fingerprint of the evaluator configuration it was
+// computed under, and resume skips (with a warning) records whose
+// fingerprint does not match the current run instead of silently serving
+// numbers from a different configuration.
 
-// journalConfigVersion is bumped whenever the journaled record schema or
-// the fingerprinted configuration surface changes, invalidating older
-// journals wholesale. v2: records gained the confidence-interval block
-// and the fingerprinted config gained the selection-engine knobs.
-// v3: the core config grew the durable-progress fields (excluded from
-// the fingerprint below, but they shift the %+v rendering).
-const journalConfigVersion = 3
+// journalConfigVersion is bumped whenever the journaled record schema
+// changes, invalidating older journals wholesale. v2: records gained the
+// confidence-interval block. v3: the core config grew the
+// durable-progress fields. v4: the fingerprint is the classified job
+// identity, which leaves out host-only settings such as -j.
+const journalConfigVersion = 4
 
-// configFingerprint hashes the evaluator configuration that determines a
-// report's numbers beyond its ReportKey: the resolved core config
-// (slice unit, seed, slow path, …) plus the degraded-mode and retry
-// knobs. Threads and input are omitted — they are part of every
-// ReportKey — as are Parallelism, Quick, Log, and Resume, which cannot
-// change report bytes. The durable-progress knobs are zeroed first:
-// they move where mid-job checkpoints live, never what an evaluation
-// computes (and the stats pointer would render as an address, breaking
-// fingerprint stability across restarts).
+// configFingerprint is the job identity of an evaluation beyond its
+// ReportKey: the resolved core config and run options through the
+// simulation stage (see core.Fingerprint; whether the full simulation
+// runs is part of the key). Host-only settings — -j, the
+// durable-progress knobs, the stats sink — never enter it, so a journal
+// written at one width resumes at any other.
 func configFingerprint(o Options) string {
-	o.ProgressDir, o.ProgressEvery, o.Progress = "", 0, nil
-	sig := fmt.Sprintf("v%d|cfg=%+v|degraded=%v|retries=%d|region_timeout=%v|min_coverage=%v",
-		journalConfigVersion, o.config(), o.Degraded, o.Retries, o.RegionTimeout, o.MinCoverage)
-	return fmt.Sprintf("%#x", artifact.Checksum([]byte(sig)))
+	return core.Fingerprint(core.StageSimulation, journalConfigVersion, o.config(), o.runOpts(false))
 }
 
 // reportData is the journaled scalar subset of a core.Report.

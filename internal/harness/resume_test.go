@@ -142,7 +142,7 @@ func TestResumeJournalRejectsCorruptLines(t *testing.T) {
 
 // TestResumeJournalRejectsConfigMismatch: a journal written under one
 // evaluator configuration must not satisfy a resume under another —
-// -slice (like -seed or -slowpath) changes every report's numbers
+// -slice (like -seed or -selector) changes every report's numbers
 // without appearing in the ReportKey, so rehydrating across it would
 // silently serve wrong tables.
 func TestResumeJournalRejectsConfigMismatch(t *testing.T) {

@@ -20,22 +20,18 @@ import (
 // little-endian binary layout with a magic header and the snapshot
 // checksum; loaders verify integrity before returning.
 //
-// Two code paths produce and consume the same bytes:
+// The slab path (AppendBinary / Decode) serializes into one exact-size
+// buffer and decodes from a byte slice with a single checksum pass; Save,
+// Load, and LoadMapped all use it. The original streaming reader
+// (ReadFrom) survives in the tests as the oracle Decode is compared
+// against, and FuzzDecode drives Decode past its checksum.
 //
-//   - the slab path (AppendBinary / Decode) serializes into one
-//     exact-size buffer and decodes from a byte slice with a single
-//     checksum pass — the hot path used by Save, Load, and LoadMapped;
-//   - the streaming path (ReadFrom) reads incrementally from any
-//     io.Reader with growth caps, so a corrupted-but-plausible length
-//     fails at the real end of input instead of committing gigabytes.
-//
-// Both paths are pinned byte-identical by the compatibility tests, and
-// both classify failures into the artifact package's typed sentinels —
-// errors.Is(err, artifact.ErrTruncated) for files that end early (with
-// the byte offset in the message), artifact.ErrCorrupt for bad magic,
-// implausible lengths, or checksum mismatches, and artifact.ErrVersion
-// for format skew — so callers like lpsim's checkpoint-directory mode
-// can quarantine bad files and continue.
+// Decode classifies failures into the artifact package's typed
+// sentinels — errors.Is(err, artifact.ErrTruncated) for files that end
+// early (with the byte offset in the message), artifact.ErrCorrupt for
+// bad magic, implausible lengths, or checksum mismatches, and
+// artifact.ErrVersion for format skew — so callers like lpsim's
+// checkpoint-directory mode can quarantine bad files and continue.
 
 const (
 	magic = "LOOPPINB"
@@ -65,10 +61,10 @@ const (
 // buffer with at least this much spare capacity performs no allocation.
 func (pb *Pinball) EncodedSize() int {
 	n := len(magic)
-	n += 8            // version
+	n += 8 // version
 	n += 8 + len(pb.Name)
-	n += 6 * 8        // NumThreads … EndHitsAtSnapshot
-	n += 3 * 3 * 8    // region markers
+	n += 6 * 8                  // NumThreads … EndHitsAtSnapshot
+	n += 3 * 3 * 8              // region markers
 	n += pb.Start.EncodedSize() // snapshot section
 	n += 8                      // syscall log count
 	for _, log := range pb.Syscalls {
@@ -252,10 +248,10 @@ func (d *decoder) marker() bbv.Marker {
 	return m
 }
 
-// Decode deserializes a pinball from its complete serialized form — the
-// slab counterpart of ReadFrom, sharing its format, plausibility caps,
-// and error classification, but decoding in place with a single
-// whole-payload checksum pass instead of per-byte hashing.
+// Decode deserializes a pinball from its complete serialized form,
+// decoding in place with a single whole-payload checksum pass. It shares
+// the streaming reference reader's format, plausibility caps, and error
+// classification (pinned by the compatibility tests).
 func Decode(data []byte) (*Pinball, error) {
 	if len(data) < len(magic) {
 		return nil, fmt.Errorf("pinball: reading header: %w at byte offset %d", artifact.ErrTruncated, len(data))

@@ -12,11 +12,12 @@ import (
 	"looppoint/internal/exec"
 )
 
-// The streaming loader: reads incrementally from any io.Reader and
-// grows slices cautiously, so a corrupted-but-plausible length prefix
-// fails at the real end of input instead of committing gigabytes up
-// front. Decode (io.go) is the fast slab counterpart; both accept
-// exactly the same bytes and classify failures identically.
+// The streaming reference loader: reads incrementally from any io.Reader
+// and grows slices cautiously, so a corrupted-but-plausible length
+// prefix fails at the real end of input instead of committing gigabytes
+// up front. It is the original decoder, kept as the test oracle for
+// Decode (io.go): both must accept exactly the same bytes and classify
+// failures identically.
 
 type reader struct {
 	r   *bufio.Reader

@@ -30,6 +30,7 @@ import (
 	"looppoint/internal/core"
 	"looppoint/internal/faults"
 	"looppoint/internal/pool"
+	"looppoint/internal/workloads"
 )
 
 // Job classes. Each gets its own circuit breaker: a failing full-report
@@ -582,6 +583,11 @@ func (s *Server) validateJob(req *JobRequest) *jobOutcome {
 	}
 	if req.App == "" {
 		return &jobOutcome{status: http.StatusBadRequest, errB: errorBody{Outcome: "bad_request", Error: "missing app"}}
+	}
+	if req.Input != "" {
+		if _, err := workloads.ParseInputClass(req.Input); err != nil {
+			return &jobOutcome{status: http.StatusBadRequest, errB: errorBody{Outcome: "bad_request", Error: err.Error()}}
+		}
 	}
 	return nil
 }

@@ -117,6 +117,22 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeRejectsUnknownInputClass: a misspelled input class is a
+// 400, not a job silently run at test scale under its own cache key.
+func TestServeRejectsUnknownInputClass(t *testing.T) {
+	s := startServer(t, Config{MaxInflight: 1}, okRunner)
+	code, body := postJob(t, s, JobRequest{Class: ClassAnalyze, App: "npb-cg", Input: "trian"})
+	if code != http.StatusBadRequest || body["outcome"] != "bad_request" {
+		t.Fatalf("input trian: status %d body %v, want 400 bad_request", code, body)
+	}
+	if code, _ := postJob(t, s, JobRequest{Class: ClassAnalyze, App: "npb-cg", Input: "train"}); code != http.StatusOK {
+		t.Fatalf("input train: status %d, want 200", code)
+	}
+	if st := s.Stats(); st.Admitted != 1 {
+		t.Fatalf("admitted %d jobs, want only the valid one", st.Admitted)
+	}
+}
+
 // TestServeQueueFullSheds429: with one worker busy and the queue full,
 // the next request is shed immediately with 429 + Retry-After instead of
 // queuing unboundedly — and completes normally once load clears.

@@ -230,17 +230,23 @@ type SimPointSelector struct{}
 func (SimPointSelector) Name() string { return "simpoint" }
 
 // Select implements Selector.
-func (s SimPointSelector) Select(vectors [][]float64, weights []float64, copts Options, sopts SelectorOpts) (*Selection, error) {
+func (SimPointSelector) Select(vectors [][]float64, weights []float64, copts Options, sopts SelectorOpts) (*Selection, error) {
 	res, err := Cluster(vectors, weights, copts)
 	if err != nil {
 		return nil, err
 	}
-	sel := &Selection{Engine: s.Name(), Result: res, Strata: clusterStrata(res, weights)}
+	return MedoidSelection(res, weights), nil
+}
+
+// MedoidSelection is the medoid rule over a finished clustering: one
+// stratum per cluster, its representative the sole draw.
+func MedoidSelection(res *Result, weights []float64) *Selection {
+	sel := &Selection{Engine: "simpoint", Result: res, Strata: clusterStrata(res, weights)}
 	for j, rep := range res.Reps {
 		sel.Strata[j].Sampled = 1
 		sel.Regions = append(sel.Regions, SelectedRegion{Index: rep, Stratum: j})
 	}
-	return FinishSelection(sel), nil
+	return FinishSelection(sel)
 }
 
 // ---- two-phase stratified engine ----

@@ -12,7 +12,8 @@
 // accelerates Lloyd's iterations with Hamerly-style triangle-inequality
 // bounds over flat contiguous arrays, and fans the k=1..maxK BIC sweep
 // out over a worker pool. The naive reference path (ProjectRegionsSlow,
-// KMeansSlow, Options.Slow) is the original straight-line implementation.
+// ClusterSlow, KMeansSlow; test oracles only) is the original
+// straight-line implementation.
 // Both produce byte-identical Results for the same inputs and seeds —
 // pinned by the identity tests — so selections, resume journals, and
 // golden files are interchangeable between them.
@@ -221,11 +222,6 @@ type Options struct {
 	// its own seed, and attempts are gathered by k, so the Result is
 	// byte-identical at every width.
 	Workers int
-	// Slow forces the naive reference path: serial sweep over KMeansSlow
-	// with no triangle-inequality acceleration. Output is identical to
-	// the fast path (the identity tests pin this); the flag exists for
-	// cross-checking and for the -slowpath plumbing.
-	Slow bool
 }
 
 func (o *Options) fill() {
@@ -258,6 +254,12 @@ type attempt struct {
 // and attempts are collected by k before the BIC threshold scan, so the
 // chosen k, assignments, and scores do not depend on the width.
 func Cluster(vectors [][]float64, weights []float64, opts Options) (*Result, error) {
+	return cluster(vectors, weights, opts, false)
+}
+
+// cluster is Cluster with a choice of k-means sweep: the production one,
+// or (slow) the serial naive reference sweep behind ClusterSlow.
+func cluster(vectors [][]float64, weights []float64, opts Options, slow bool) (*Result, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("simpoint: no regions to cluster")
 	}
@@ -289,7 +291,7 @@ func Cluster(vectors [][]float64, weights []float64, opts Options) (*Result, err
 	}
 
 	var attempts []attempt
-	if opts.Slow {
+	if slow {
 		for k := 1; k <= maxK; k++ {
 			assign, cents, dist := KMeansSlow(vectors, k, opts.Seed+uint64(k), opts.MaxIter)
 			attempts = append(attempts, attempt{k, assign, cents, bic(vectors, assign, cents, dist, varFloor), dist})

@@ -8,11 +8,12 @@ import (
 )
 
 // This file is the naive reference implementation of the clustering
-// pipeline — the exact code the fast engine replaced, kept as the
-// -slowpath cross-check (the same playbook the block-batched execution
-// fast path followed). The identity tests assert the two paths produce
-// byte-identical projections and Results; any divergence is a bug in the
-// fast engine, never an accepted behaviour change.
+// pipeline — the exact code the fast engine replaced, kept as a test
+// oracle (the same playbook the block-batched execution fast path
+// followed). Only tests call it: the identity tests here and in core
+// assert the two paths produce byte-identical projections and Results;
+// any divergence is a bug in the fast engine, never an accepted
+// behaviour change.
 
 // ProjectRegionsSlow is the naive reference projection: per-entry
 // projection-matrix hashing with no row cache and no materialized sparse
@@ -90,6 +91,13 @@ func sortedBlocks(tv map[int]float64) []int {
 	}
 	sort.Ints(blocks)
 	return blocks
+}
+
+// ClusterSlow is Cluster on the naive reference path: a serial BIC sweep
+// over KMeansSlow with no triangle-inequality acceleration. opts.Workers
+// is ignored. The Result is byte-identical to Cluster's.
+func ClusterSlow(vectors [][]float64, weights []float64, opts Options) (*Result, error) {
+	return cluster(vectors, weights, opts, true)
 }
 
 // KMeansSlow is the naive reference k-means: k-means++ seeding with full

@@ -136,7 +136,7 @@ func TestResetIdentityAcrossModes(t *testing.T) {
 
 // TestSimulatorResetRestoresDefaults: Reset re-points the program and
 // restores New's defaults, so a pooled Simulator with leftover Seed,
-// Trace, or SlowPath settings behaves like a fresh one.
+// MaxSteps, or Trace settings behaves like a fresh one.
 func TestSimulatorResetRestoresDefaults(t *testing.T) {
 	p := arenaProg()
 	s, err := New(Gainestown(4), p)
@@ -144,7 +144,6 @@ func TestSimulatorResetRestoresDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Seed = 99
-	s.SlowPath = true
 	s.MaxSteps = 7
 	s.Trace = NewIPCTrace(1000)
 	if err := s.Reset(p); err != nil {
@@ -154,7 +153,7 @@ func TestSimulatorResetRestoresDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Seed != fresh.Seed || s.SlowPath != fresh.SlowPath || s.MaxSteps != fresh.MaxSteps || s.Trace != nil {
+	if s.Seed != fresh.Seed || s.MaxSteps != fresh.MaxSteps || s.Trace != nil {
 		t.Fatalf("Reset left non-default knobs: %+v", s)
 	}
 	// Validation still applies: too many threads for the config fails.

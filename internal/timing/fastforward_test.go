@@ -52,8 +52,11 @@ func TestSimulateRegionFastSlowIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.SlowPath = slow
-				st, err := s.SimulateRegion(start, end, warm)
+				simulate := s.SimulateRegion
+				if slow {
+					simulate = s.SimulateRegionReference
+				}
+				st, err := simulate(start, end, warm)
 				if err != nil {
 					t.Fatalf("SimulateRegion(slow=%v, %v..%v): %v", slow, start, end, err)
 				}
@@ -134,8 +137,11 @@ func TestSimulateCheckpointFastSlowIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SlowPath = slow
-		st, err := s.SimulateCheckpoint(rps[0])
+		simulate := s.SimulateCheckpoint
+		if slow {
+			simulate = s.SimulateCheckpointReference
+		}
+		st, err := simulate(rps[0])
 		if err != nil {
 			t.Fatalf("SimulateCheckpoint(slow=%v): %v", slow, err)
 		}

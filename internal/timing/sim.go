@@ -40,11 +40,6 @@ type Simulator struct {
 	Trace *IPCTrace
 	// MaxSteps bounds any single simulation (0 = default safety cap).
 	MaxSteps uint64
-	// SlowPath forces region simulations onto the per-instruction
-	// reference engine instead of the block-batched fast-forward.
-	// Results are identical either way (the equivalence is pinned by
-	// tests); the flag exists for verification and debugging.
-	SlowPath bool
 
 	// sys is the timing-state arena, reused across simulations: the
 	// first run pays the allocation wave (cache backing arrays,
@@ -65,7 +60,7 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 }
 
 // Reset re-points the Simulator at a new program and restores New's
-// defaults (seed, step cap, no trace, fast path) while keeping the
+// defaults (seed, step cap, no trace) while keeping the
 // timing-state arenas for reuse — the region-restart path a sampling
 // worker takes between pinballs. It performs the same validation as
 // New: after a successful Reset the Simulator behaves exactly as a
@@ -81,7 +76,6 @@ func (s *Simulator) Reset(prog *isa.Program) error {
 	s.Seed = 1
 	s.Trace = nil
 	s.MaxSteps = 2_000_000_000
-	s.SlowPath = false
 	return nil
 }
 
@@ -109,8 +103,7 @@ func (s *Simulator) SimulateFull() (*Stats, error) {
 // initial state with the timing model deciding thread progress; detailed
 // measurement is enabled between the markers (paper Section V-A1).
 func (s *Simulator) SimulateRegion(start, end bbv.Marker, warm WarmupMode) (*Stats, error) {
-	m := exec.NewMachine(s.Prog, s.Seed)
-	return s.runMarked(m, start, end, 0, 0, warm)
+	return s.runMarked(exec.NewMachine(s.Prog, s.Seed), start, end, 0, 0, warm, true)
 }
 
 // SimulateCheckpoint runs an unconstrained simulation of a region pinball
@@ -121,6 +114,10 @@ func (s *Simulator) SimulateRegion(start, end bbv.Marker, warm WarmupMode) (*Sta
 // before the (PC, count)-delimited region is measured; the timing model,
 // not the recorded schedule, decides thread progress.
 func (s *Simulator) SimulateCheckpoint(pb *pinball.Pinball) (*Stats, error) {
+	return s.simulateCheckpoint(pb, true)
+}
+
+func (s *Simulator) simulateCheckpoint(pb *pinball.Pinball, batched bool) (*Stats, error) {
 	if err := pb.Verify(); err != nil {
 		return nil, err
 	}
@@ -133,14 +130,16 @@ func (s *Simulator) SimulateCheckpoint(pb *pinball.Pinball) (*Stats, error) {
 	replay.Fallback = exec.NewDefaultOS(s.Seed)
 	m.OS = replay
 	return s.runMarked(m, pb.Region.Start, pb.Region.End,
-		pb.StartHitsAtSnapshot, pb.EndHitsAtSnapshot, WarmupFunctional)
+		pb.StartHitsAtSnapshot, pb.EndHitsAtSnapshot, WarmupFunctional, batched)
 }
 
 // runMarked drives an unconstrained timing simulation on a prepared
 // machine, warming until the start marker and measuring until the end
 // marker. startBase/endBase rebase global marker counts for machines that
-// begin mid-program.
-func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase, endBase uint64, warm WarmupMode) (_ *Stats, err error) {
+// begin mid-program. batched selects the block-batched fast-forward; the
+// reference engine (batched false) fast-forwards one instruction at a
+// time.
+func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase, endBase uint64, warm WarmupMode, batched bool) (_ *Stats, err error) {
 	defer exec.Recover(&err)
 	sys := s.acquireSystem(m)
 	inDetail := start.IsStart() || (!start.IsICount() && !start.IsEnd && start.Count <= startBase)
@@ -165,7 +164,7 @@ func (s *Simulator) runMarked(m *exec.Machine, start, end bbv.Marker, startBase,
 	// and every marker boundary land on the exact instructions the
 	// per-instruction engine would visit; marker PCs are break PCs, so
 	// their block entries arrive as single-instruction events.
-	if !inDetail && !s.SlowPath {
+	if !inDetail && batched {
 		if !start.IsStart() && !start.IsICount() {
 			m.AddBreakPC(start.PC)
 		}

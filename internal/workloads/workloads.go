@@ -37,26 +37,43 @@ const (
 	ClassD     InputClass = "D"
 )
 
-// scale returns (timestep multiplier, size multiplier) for a class.
-// The ratios mirror the paper's regimes at 1/Scale: train runs are big
-// enough to slice into tens of regions at the default N×100 K slice
-// target, and ref runs are roughly an order of magnitude beyond train —
-// large enough that full detailed simulation is the bottleneck, the
-// regime where Figure 1/9 live.
-func (in InputClass) scale() (int64, int64) {
-	switch in {
-	case InputTest, ClassA:
-		return 1, 1
-	case InputTrain:
-		return 8, 4
-	case InputRef:
-		return 40, 8
-	case ClassC:
-		return 20, 8
-	case ClassD:
-		return 48, 12
+// inputScales gives each input class its (timestep multiplier, size
+// multiplier), in display order. The ratios mirror the paper's regimes at
+// 1/Scale: train runs are big enough to slice into tens of regions at
+// the default N×100 K slice target, and ref runs are roughly an order of
+// magnitude beyond train — large enough that full detailed simulation is
+// the bottleneck, the regime where Figure 1/9 live.
+var inputScales = []struct {
+	class       InputClass
+	steps, size int64
+}{
+	{InputTest, 1, 1}, {InputTrain, 8, 4}, {InputRef, 40, 8},
+	{ClassA, 1, 1}, {ClassC, 20, 8}, {ClassD, 48, 12},
+}
+
+// ParseInputClass validates a user-supplied input class. Unknown names
+// are an error rather than a silent fallback, so a typo such as "trian"
+// cannot run at test scale under its own cache and campaign keys.
+func ParseInputClass(s string) (InputClass, error) {
+	names := make([]string, len(inputScales))
+	for i, c := range inputScales {
+		if string(c.class) == s {
+			return c.class, nil
+		}
+		names[i] = string(c.class)
 	}
-	return 1, 1
+	return "", fmt.Errorf("workloads: unknown input class %q (want one of %v)", s, names)
+}
+
+// scale returns (timestep multiplier, size multiplier) for a class Build
+// accepted.
+func (in InputClass) scale() (int64, int64) {
+	for _, c := range inputScales {
+		if c.class == in {
+			return c.steps, c.size
+		}
+	}
+	panic(fmt.Sprintf("workloads: unvalidated input class %q", in))
 }
 
 // SyncSet records which synchronization primitives an application uses
@@ -113,6 +130,9 @@ func (s Spec) Build(par BuildParams) (*App, error) {
 		} else {
 			par.Input = InputTrain
 		}
+	}
+	if _, err := ParseInputClass(string(par.Input)); err != nil {
+		return nil, err
 	}
 	app := s.build(par)
 	app.Spec = s

@@ -190,3 +190,26 @@ func TestSyncMatrixMatchesTableIII(t *testing.T) {
 		}
 	}
 }
+
+// TestParseInputClass: every class Build scales is accepted; anything
+// else — including a near-miss spelling — is an error, and Build refuses
+// to run it.
+func TestParseInputClass(t *testing.T) {
+	for _, c := range inputScales {
+		if got, err := ParseInputClass(string(c.class)); err != nil || got != c.class {
+			t.Errorf("ParseInputClass(%q) = %q, %v", c.class, got, err)
+		}
+	}
+	for _, bad := range []string{"trian", "TEST", "B", " test"} {
+		if _, err := ParseInputClass(bad); err == nil {
+			t.Errorf("ParseInputClass(%q) accepted", bad)
+		}
+	}
+	spec, ok := Lookup("npb-cg")
+	if !ok {
+		t.Fatal("npb-cg not registered")
+	}
+	if _, err := spec.Build(BuildParams{Threads: 2, Input: "trian"}); err == nil {
+		t.Error("Build ran an unknown input class")
+	}
+}
