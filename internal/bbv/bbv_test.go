@@ -73,7 +73,7 @@ func markerAddrs(t testing.TB, p *isa.Program) []uint64 {
 	t.Helper()
 	m := exec.NewMachine(p, 1)
 	db := dcfg.NewBuilder(p, p.NumThreads())
-	m.AddObserver(db)
+	m.AddBlockObserver(db)
 	if err := m.Run(exec.RunOpts{FlowWindow: 1000}); err != nil {
 		t.Fatalf("DCFG run: %v", err)
 	}

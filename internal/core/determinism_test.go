@@ -157,6 +157,9 @@ func TestFastSlowPathsByteIdentical(t *testing.T) {
 			sres := simulateReference(t, ssel, simCfg)
 			spred := Extrapolate(sres, freq)
 
+			if !reflect.DeepEqual(fa.Graph, sa.Graph) {
+				t.Error("DCFGs differ between the block-tier and per-instruction builders")
+			}
 			if !reflect.DeepEqual(fa.Markers, sa.Markers) {
 				t.Errorf("marker sets differ:\nfast: %#x\nslow: %#x", fa.Markers, sa.Markers)
 			}

@@ -44,7 +44,7 @@ func parallelTestPrograms() map[string]*isa.Program {
 }
 
 // recordFor records the analysis pinball exactly as Analyze does.
-func recordFor(t *testing.T, p *isa.Program, cfg Config) *pinball.Pinball {
+func recordFor(t testing.TB, p *isa.Program, cfg Config) *pinball.Pinball {
 	t.Helper()
 	cfg.fill()
 	pb, err := pinball.RecordWithOptions(p, cfg.Seed, exec.RunOpts{

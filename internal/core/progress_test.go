@@ -410,7 +410,7 @@ func TestProgressEnvelopeVersionSkew(t *testing.T) {
 
 // buildProgressEnvelope encodes a genuine mid-phase-0 progress file from
 // a short recording.
-func buildProgressEnvelope(t *testing.T) []byte {
+func buildProgressEnvelope(t testing.TB) []byte {
 	t.Helper()
 	p := testprog.Phased(2, 3, 30, omp.Passive)
 	cfg := testConfig()

@@ -18,8 +18,8 @@ import (
 // projection and serial k-means, and region simulation fast-forwards one
 // instruction at a time.
 
-// analyzeReference is analyzeSerial with the BBV collector driven one
-// instruction at a time.
+// analyzeReference is analyzeSerial with the DCFG builder and the BBV
+// collector driven one instruction at a time.
 func analyzeReference(t *testing.T, prog *isa.Program, cfg Config) *Analysis {
 	t.Helper()
 	cfg.fill()
@@ -31,7 +31,9 @@ func analyzeReference(t *testing.T, prog *isa.Program, cfg Config) *Analysis {
 		t.Fatalf("reference record: %v", err)
 	}
 	db := dcfg.NewBuilder(prog, prog.NumThreads())
-	if _, err := pb.Replay(prog, db); err != nil {
+	// ObserverFunc hides the builder's block-tier method, so Replay
+	// drives it one instruction at a time.
+	if _, err := pb.Replay(prog, exec.ObserverFunc(db.OnInstr)); err != nil {
 		t.Fatalf("reference DCFG replay: %v", err)
 	}
 	g := db.Graph()

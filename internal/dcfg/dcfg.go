@@ -82,9 +82,11 @@ type Graph struct {
 	edges map[[2]int]*Edge
 }
 
-// Builder is an exec.Observer that constructs a Graph while a program
-// runs (typically during constrained pinball replay, so the graph is
-// reproducible).
+// Builder constructs a Graph while a program runs (typically during
+// constrained pinball replay, so the graph is reproducible). It is an
+// exec.BlockObserver, so replays drive it with coalesced block events;
+// its per-instruction OnInstr applies the same rules one instruction at
+// a time and is the oracle the block tier is tested against.
 type Builder struct {
 	g   *Graph
 	cur []*isa.Block   // last block per thread, nil right after a call
@@ -100,26 +102,48 @@ func NewBuilder(p *isa.Program, nthreads int) *Builder {
 	}
 }
 
-// OnInstr implements exec.Observer.
+// OnInstr implements exec.Observer: one instruction, at most one entry.
 func (b *Builder) OnInstr(ev *exec.Event) {
-	tid := ev.Tid
 	if ev.BlockEntry {
-		n := b.g.node(ev.Block)
-		n.Execs++
-		for len(n.ThreadExecs) <= tid {
-			n.ThreadExecs = append(n.ThreadExecs, 0)
-		}
-		n.ThreadExecs[tid]++
-		if prev := b.cur[tid]; prev != nil && prev.Routine == ev.Block.Routine {
-			b.g.addEdge(prev, ev.Block, EdgeBranch)
-		}
-		b.cur[tid] = ev.Block
+		b.enter(ev.Tid, ev.Block, 1)
 	}
-	switch ev.Instr.Op {
+	b.transfer(ev.Tid, ev.Instr)
+}
+
+// OnBlock implements exec.BlockObserver. A coalesced event holds Entries
+// entries of one block and ends with its only possible call or return.
+func (b *Builder) OnBlock(ev *exec.BlockEvent) {
+	if ev.Entries > 0 {
+		b.enter(ev.Tid, ev.Block, ev.Entries)
+	}
+	b.transfer(ev.Tid, ev.LastInstr())
+}
+
+// enter records n back-to-back entries of blk by thread tid. The first
+// takes its branch edge from the thread's previous block (same routine
+// only); each later one re-enters blk from itself.
+func (b *Builder) enter(tid int, blk *isa.Block, n uint64) {
+	node := b.g.node(blk)
+	node.Execs += n
+	for len(node.ThreadExecs) <= tid {
+		node.ThreadExecs = append(node.ThreadExecs, 0)
+	}
+	node.ThreadExecs[tid] += n
+	if prev := b.cur[tid]; prev != nil && prev.Routine == blk.Routine {
+		b.g.addEdge(prev, blk, EdgeBranch, 1)
+	}
+	if n > 1 {
+		b.g.addEdge(blk, blk, EdgeBranch, n-1)
+	}
+	b.cur[tid] = blk
+}
+
+// transfer applies a call or return retired by thread tid.
+func (b *Builder) transfer(tid int, in *isa.Instr) {
+	switch in.Op {
 	case isa.OpCall:
 		caller := b.cur[tid]
-		callee := ev.Instr.Callee.Blocks[0]
-		b.g.addEdge(caller, callee, EdgeCall)
+		b.g.addEdge(caller, in.Callee.Blocks[0], EdgeCall, 1)
 		b.stk[tid] = append(b.stk[tid], caller)
 		b.cur[tid] = nil // callee entry must not become an intra-routine edge
 	case isa.OpRet:
@@ -130,7 +154,7 @@ func (b *Builder) OnInstr(ev *exec.Event) {
 		caller := b.stk[tid][n-1]
 		b.stk[tid] = b.stk[tid][:n-1]
 		if b.cur[tid] != nil {
-			b.g.addEdge(b.cur[tid], caller, EdgeReturn)
+			b.g.addEdge(b.cur[tid], caller, EdgeReturn, 1)
 		}
 		// Execution resumes mid-block in the caller; the next
 		// intra-routine edge hangs off the call-site block.
@@ -150,7 +174,10 @@ func (g *Graph) node(blk *isa.Block) *Node {
 	return n
 }
 
-func (g *Graph) addEdge(from, to *isa.Block, kind EdgeKind) {
+// addEdge records count traversals of the (from, to) edge. The
+// first record to create an edge fixes its Kind and its position in the
+// endpoint nodes' Out/In order.
+func (g *Graph) addEdge(from, to *isa.Block, kind EdgeKind, count uint64) {
 	key := [2]int{from.Global, to.Global}
 	e, ok := g.edges[key]
 	if !ok {
@@ -159,7 +186,7 @@ func (g *Graph) addEdge(from, to *isa.Block, kind EdgeKind) {
 		g.node(from).Out = append(g.node(from).Out, e)
 		g.node(to).In = append(g.node(to).In, e)
 	}
-	e.Count++
+	e.Count += count
 }
 
 // Edges returns all edges sorted by (From, To) for stable iteration.

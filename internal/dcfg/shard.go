@@ -60,10 +60,11 @@ type shardNode struct {
 	threadExecs []uint64
 }
 
-// ShardBuilder is an exec.Observer that builds the mergeable DCFG state
-// of one replay window. It mirrors Builder.OnInstr exactly, except that
-// edge sources reaching back across the window start stay symbolic and
-// per-(from, to) counts are kept locally instead of in a shared graph.
+// ShardBuilder builds the mergeable DCFG state of one replay window.
+// It applies Builder's rules exactly, on both observer tiers, except
+// that edge sources reaching back across the window start stay symbolic
+// and per-(from, to) counts are kept locally instead of in a shared
+// graph.
 type ShardBuilder struct {
 	nodes  map[int]*shardNode
 	edgeIx map[[2]sym]int
@@ -90,38 +91,60 @@ func NewShardBuilder(nthreads int) *ShardBuilder {
 	return b
 }
 
-// OnInstr implements exec.Observer. The structure is Builder.OnInstr
-// with symbolic sources; the branch-edge same-routine check is applied
-// inline for known sources and deferred to merge for symbolic ones.
+// OnInstr implements exec.Observer (the per-instruction oracle tier).
 func (b *ShardBuilder) OnInstr(ev *exec.Event) {
-	tid := ev.Tid
 	if ev.BlockEntry {
-		n, ok := b.nodes[ev.Block.Global]
-		if !ok {
-			n = &shardNode{blk: ev.Block}
-			b.nodes[ev.Block.Global] = n
-		}
-		n.execs++
-		for len(n.threadExecs) <= tid {
-			n.threadExecs = append(n.threadExecs, 0)
-		}
-		n.threadExecs[tid]++
-		prev := b.cur[tid]
-		switch prev.kind {
-		case symKnown:
-			if prev.blk.Routine == ev.Block.Routine {
-				b.addEdge(prev, known(ev.Block), EdgeBranch)
-			}
-		case symStartCur, symStartStack:
-			b.addEdge(prev, known(ev.Block), EdgeBranch)
-		}
-		b.cur[tid] = known(ev.Block)
+		b.enter(ev.Tid, ev.Block, 1)
 	}
-	switch ev.Instr.Op {
+	b.transfer(ev.Tid, ev.Instr)
+}
+
+// OnBlock implements exec.BlockObserver. An event that resumed mid-block
+// at the window start still takes its first entry's edge from the
+// symbolic start block, which merge resolves like any other.
+func (b *ShardBuilder) OnBlock(ev *exec.BlockEvent) {
+	if ev.Entries > 0 {
+		b.enter(ev.Tid, ev.Block, ev.Entries)
+	}
+	b.transfer(ev.Tid, ev.LastInstr())
+}
+
+// enter is Builder.enter with symbolic sources: the branch-edge
+// same-routine check is applied inline for known sources and deferred
+// to merge for symbolic ones.
+func (b *ShardBuilder) enter(tid int, blk *isa.Block, n uint64) {
+	node, ok := b.nodes[blk.Global]
+	if !ok {
+		node = &shardNode{blk: blk}
+		b.nodes[blk.Global] = node
+	}
+	node.execs += n
+	for len(node.threadExecs) <= tid {
+		node.threadExecs = append(node.threadExecs, 0)
+	}
+	node.threadExecs[tid] += n
+	self := known(blk)
+	switch prev := b.cur[tid]; prev.kind {
+	case symKnown:
+		if prev.blk.Routine == blk.Routine {
+			b.addEdge(prev, self, EdgeBranch, 1)
+		}
+	case symStartCur, symStartStack:
+		b.addEdge(prev, self, EdgeBranch, 1)
+	}
+	if n > 1 {
+		b.addEdge(self, self, EdgeBranch, n-1)
+	}
+	b.cur[tid] = self
+}
+
+// transfer is Builder.transfer with symbolic sources: a return that
+// underflows the shard's own stack pops into the carry stack.
+func (b *ShardBuilder) transfer(tid int, in *isa.Instr) {
+	switch in.Op {
 	case isa.OpCall:
 		caller := b.cur[tid]
-		callee := ev.Instr.Callee.Blocks[0]
-		b.addEdge(caller, known(callee), EdgeCall)
+		b.addEdge(caller, known(in.Callee.Blocks[0]), EdgeCall, 1)
 		b.stk[tid] = append(b.stk[tid], caller)
 		b.cur[tid] = sym{}
 	case isa.OpRet:
@@ -134,20 +157,20 @@ func (b *ShardBuilder) OnInstr(ev *exec.Event) {
 			caller = sym{kind: symStartStack, tid: tid, depth: b.pops[tid]}
 		}
 		if b.cur[tid].kind != symNil {
-			b.addEdge(b.cur[tid], caller, EdgeReturn)
+			b.addEdge(b.cur[tid], caller, EdgeReturn, 1)
 		}
 		b.cur[tid] = caller
 	}
 }
 
-func (b *ShardBuilder) addEdge(from, to sym, kind EdgeKind) {
+func (b *ShardBuilder) addEdge(from, to sym, kind EdgeKind, count uint64) {
 	key := [2]sym{from, to}
 	if i, ok := b.edgeIx[key]; ok {
-		b.edges[i].count++
+		b.edges[i].count += count
 		return
 	}
 	b.edgeIx[key] = len(b.edges)
-	b.edges = append(b.edges, &shardEdge{from: from, to: to, kind: kind, count: 1})
+	b.edges = append(b.edges, &shardEdge{from: from, to: to, kind: kind, count: count})
 }
 
 // Carry is the serial builder's per-thread interleaving state at a
@@ -230,7 +253,7 @@ func (b *ShardBuilder) MergeInto(g *Graph, carry Carry) (Carry, error) {
 				return Carry{}, fmt.Errorf("dcfg: return edge with unresolved caller block")
 			}
 		}
-		g.addEdgeCount(from, to, e.kind, e.count)
+		g.addEdge(from, to, e.kind, e.count)
 	}
 
 	next := StartCarry(len(b.cur))
@@ -256,22 +279,6 @@ func (b *ShardBuilder) MergeInto(g *Graph, carry Carry) (Carry, error) {
 		next.stk[tid] = ns
 	}
 	return next, nil
-}
-
-// addEdgeCount is addEdge with an occurrence count: the first record to
-// create a (from, to) edge fixes its Kind and its position in the
-// endpoint nodes' Out/In order, exactly like repeated serial addEdge
-// calls would.
-func (g *Graph) addEdgeCount(from, to *isa.Block, kind EdgeKind, count uint64) {
-	key := [2]int{from.Global, to.Global}
-	e, ok := g.edges[key]
-	if !ok {
-		e = &Edge{From: from.Global, To: to.Global, Kind: kind}
-		g.edges[key] = e
-		g.node(from).Out = append(g.node(from).Out, e)
-		g.node(to).In = append(g.node(to).In, e)
-	}
-	e.Count += count
 }
 
 // MergeShards chains per-window shard builders in schedule order into

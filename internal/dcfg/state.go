@@ -88,7 +88,10 @@ func (g *Graph) State() *GraphState {
 }
 
 // RestoreGraph rebuilds a live Graph from its serialized state,
-// validating every block and edge reference against the program.
+// validating every block and edge reference against the program and the
+// graph's own consistency: each edge joins two restored nodes and is
+// listed exactly once in its source's Out and once in its target's In,
+// as a Builder leaves it.
 func RestoreGraph(p *isa.Program, st *GraphState) (*Graph, error) {
 	blocks := p.Blocks()
 	g := &Graph{Prog: p, Nodes: make(map[int]*Node, len(st.Nodes)), edges: make(map[[2]int]*Edge, len(st.Edges))}
@@ -108,6 +111,25 @@ func RestoreGraph(p *isa.Program, st *GraphState) (*Graph, error) {
 		edges[i] = e
 		g.edges[key] = e
 	}
+	// listed counts each edge's appearances in Out (index 0) and In (1).
+	listed := make([][2]int, len(edges))
+	adjacency := func(gi int, ixs []int, dir int) ([]*Edge, error) {
+		var out []*Edge
+		for _, ei := range ixs {
+			if ei < 0 || ei >= len(edges) {
+				return nil, fmt.Errorf("dcfg: node %d edge index %d outside %d edges", gi, ei, len(edges))
+			}
+			e := edges[ei]
+			if end := [2]int{e.From, e.To}[dir]; end != gi {
+				return nil, fmt.Errorf("dcfg: node %d lists edge %d -> %d it does not end", gi, e.From, e.To)
+			}
+			if listed[ei][dir]++; listed[ei][dir] > 1 {
+				return nil, fmt.Errorf("dcfg: node %d lists edge %d -> %d twice", gi, e.From, e.To)
+			}
+			out = append(out, e)
+		}
+		return out, nil
+	}
 	for _, ns := range st.Nodes {
 		if ns.Global < 0 || ns.Global >= len(blocks) {
 			return nil, fmt.Errorf("dcfg: node references block %d outside program of %d blocks", ns.Global, len(blocks))
@@ -120,19 +142,22 @@ func RestoreGraph(p *isa.Program, st *GraphState) (*Graph, error) {
 			Execs:       ns.Execs,
 			ThreadExecs: append([]uint64(nil), ns.ThreadExecs...),
 		}
-		for _, ei := range ns.Out {
-			if ei < 0 || ei >= len(edges) {
-				return nil, fmt.Errorf("dcfg: node %d out-edge index %d outside %d edges", ns.Global, ei, len(edges))
-			}
-			n.Out = append(n.Out, edges[ei])
+		var err error
+		if n.Out, err = adjacency(ns.Global, ns.Out, 0); err != nil {
+			return nil, err
 		}
-		for _, ei := range ns.In {
-			if ei < 0 || ei >= len(edges) {
-				return nil, fmt.Errorf("dcfg: node %d in-edge index %d outside %d edges", ns.Global, ei, len(edges))
-			}
-			n.In = append(n.In, edges[ei])
+		if n.In, err = adjacency(ns.Global, ns.In, 1); err != nil {
+			return nil, err
 		}
 		g.Nodes[ns.Global] = n
+	}
+	for i, e := range edges {
+		if g.Nodes[e.From] == nil || g.Nodes[e.To] == nil {
+			return nil, fmt.Errorf("dcfg: edge %d -> %d has an endpoint with no node", e.From, e.To)
+		}
+		if listed[i] != [2]int{1, 1} {
+			return nil, fmt.Errorf("dcfg: edge %d -> %d is missing from its endpoints' Out/In lists", e.From, e.To)
+		}
 	}
 	return g, nil
 }

@@ -125,11 +125,42 @@ func TestStateRestoreValidation(t *testing.T) {
 			{Edges: []EdgeState{{From: 0, To: 0, Kind: 9}}},
 			{Nodes: []NodeState{{Global: 0}, {Global: 0}}},
 			{Edges: []EdgeState{{From: 0, To: 0}, {From: 0, To: 0}}},
+			// Out/In list an edge the node does not own, and neither
+			// endpoint has a node.
+			{
+				Nodes: []NodeState{{Global: 0, Out: []int{0}, In: []int{0}}},
+				Edges: []EdgeState{{From: nblocks - 1, To: nblocks - 2}},
+			},
+			// In lists an edge whose target is another node.
+			{
+				Nodes: []NodeState{{Global: 0, Out: []int{0}, In: []int{0}}, {Global: 1}},
+				Edges: []EdgeState{{From: 0, To: 1}},
+			},
+			// An edge with no node at either end, listed nowhere.
+			{Edges: []EdgeState{{From: 0, To: 1}}},
+			// Endpoints exist but the edge is missing from In.
+			{
+				Nodes: []NodeState{{Global: 0, Out: []int{0}}, {Global: 1}},
+				Edges: []EdgeState{{From: 0, To: 1}},
+			},
+			// Listed twice in Out.
+			{
+				Nodes: []NodeState{{Global: 0, Out: []int{0, 0}, In: []int{0}}},
+				Edges: []EdgeState{{From: 0, To: 0}},
+			},
 		}
 		for i, st := range bad {
 			if _, err := RestoreGraph(w.prog, &st); err == nil {
 				t.Fatalf("hostile graph state %d accepted", i)
 			}
+		}
+		// The well-formed neighbour of the cases above restores.
+		good := GraphState{
+			Nodes: []NodeState{{Global: 0, Out: []int{0}}, {Global: 1, In: []int{0}}},
+			Edges: []EdgeState{{From: 0, To: 1, Count: 3}},
+		}
+		if _, err := RestoreGraph(w.prog, &good); err != nil {
+			t.Fatalf("consistent graph state rejected: %v", err)
 		}
 		badCarry := []CarryState{
 			{Cur: []int{0}},

@@ -8,8 +8,9 @@ import "looppoint/internal/isa"
 // granularity for throughput: the interpreter executes whole basic blocks
 // (and back-to-back re-entries of self-loop blocks) in a tight loop and
 // emits ONE coalesced BlockEvent per batch. Consumers that only need
-// block-level counts (BBV profiling, functional cache/branch warming,
-// region extraction) run an order of magnitude fewer dynamic dispatches.
+// block-level counts (DCFG construction, BBV profiling, functional
+// cache/branch warming, region extraction) run an order of magnitude
+// fewer dynamic dispatches.
 //
 // Exactness is preserved through break PCs (AddBreakPC): entering a block
 // whose address is registered produces a single-instruction event, so a
@@ -93,6 +94,15 @@ func (ev *BlockEvent) reset(tid int, blk *isa.Block, firstIdx int) {
 	ev.ExitTaken = false
 	ev.Blocked = false
 	ev.Woken = ev.Woken[:0]
+}
+
+// LastInstr returns the event's final retired instruction. Every pass
+// after the first starts at instruction 0, so it sits
+// (FirstIdx+Instrs-1) mod len(Block.Instrs) into the block. Calls and
+// returns always end an event, so this is the only instruction of the
+// event that can be one.
+func (ev *BlockEvent) LastInstr() *isa.Instr {
+	return &ev.Block.Instrs[(uint64(ev.FirstIdx)+ev.Instrs-1)%uint64(len(ev.Block.Instrs))]
 }
 
 // BlockObserver receives coalesced block events. Implementations must be

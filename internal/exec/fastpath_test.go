@@ -281,3 +281,48 @@ func TestBlockEventFreeListRecycles(t *testing.T) {
 	}
 	m.putBlockEvent(b)
 }
+
+// TestLastInstrMatchesStep pins BlockEvent.LastInstr against the
+// per-instruction stream stepBlockViaStep dispatches while assembling
+// each event: it is the event's final retired instruction, and no call
+// or return retires anywhere else in the event. Block-tier consumers
+// that track call stacks (the DCFG builders) rely on both facts.
+func TestLastInstrMatchesStep(t *testing.T) {
+	var transfers int
+	for name, p := range fastPathPrograms(t) {
+		t.Run(name, func(t *testing.T) {
+			m := NewMachine(p, 7)
+			var seen []*isa.Instr
+			m.AddObserver(ObserverFunc(func(ev *Event) { seen = append(seen, ev.Instr) }))
+			var ev BlockEvent
+			budgets := []uint64{1, 3, 64, 7, 1000, 2, 17}
+			for round := 0; round < 200000 && !m.Done(); round++ {
+				seen = seen[:0]
+				if !m.StepBlock(round%p.NumThreads(), budgets[round%len(budgets)], &ev) {
+					if m.Deadlocked() {
+						break
+					}
+					continue
+				}
+				if uint64(len(seen)) != ev.Instrs {
+					t.Fatalf("round %d: %d instructions observed, event retired %d", round, len(seen), ev.Instrs)
+				}
+				if got, want := ev.LastInstr(), seen[len(seen)-1]; got != want {
+					t.Fatalf("round %d: LastInstr = %v (FirstIdx %d, Instrs %d), want %v",
+						round, got.Op, ev.FirstIdx, ev.Instrs, want.Op)
+				}
+				for i, in := range seen {
+					if in.Op == isa.OpCall || in.Op == isa.OpRet {
+						if i != len(seen)-1 {
+							t.Fatalf("round %d: %v at position %d of a %d-instruction event", round, in.Op, i, len(seen))
+						}
+						transfers++
+					}
+				}
+			}
+		})
+	}
+	if transfers == 0 {
+		t.Fatal("no call or return observed; the check proved nothing")
+	}
+}
